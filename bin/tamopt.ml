@@ -11,7 +11,7 @@ module Verify = Soctam_core.Verify
 module Soc = Soctam_soc.Soc
 module Core_def = Soctam_soc.Core_def
 module Test_time = Soctam_soc.Test_time
-module Benchmarks = Soctam_soc.Benchmarks
+module Soc_file = Soctam_soc.Soc_file
 module Floorplan = Soctam_layout.Floorplan
 module Routing = Soctam_layout.Routing
 module Layout_conflicts = Soctam_layout.Conflicts
@@ -43,60 +43,37 @@ module Proto_fuzz = Soctam_check.Proto_fuzz
 module Corpus = Soctam_check.Corpus
 module Store_torture = Soctam_check.Store_torture
 
-let lookup_soc = function
-  | "s1" | "S1" -> Benchmarks.s1 ()
-  | "s2" | "S2" -> Benchmarks.s2 ()
-  | "s3" | "S3" -> Benchmarks.s3 ()
-  | spec -> (
-      (* "rnd:<seed>:<cores>" builds a reproducible random SOC;
-         "file:<path>" loads a textual description (see Soc_file). *)
-      match String.split_on_char ':' spec with
-      | [ "rnd"; seed; n ] -> (
-          match (int_of_string_opt seed, int_of_string_opt n) with
-          | Some seed, Some n -> Benchmarks.random ~seed ~num_cores:n ()
-          | _ ->
-              raise
-                (Invalid_argument
-                   "rnd:<seed>:<n> takes two integers"))
-      | "file" :: rest -> (
-          let path = String.concat ":" rest in
-          match Soctam_soc.Soc_file.of_file path with
-          | Ok soc -> soc
-          | Error msg ->
-              raise
-                (Invalid_argument (Printf.sprintf "%s: %s" path msg)))
-      | _ ->
-          raise
-            (Invalid_argument
-               (Printf.sprintf
-                  "unknown SOC %S (use s1, s2, s3, rnd:<seed>:<n> or \
-                   file:<path>)" spec)))
+(* The front doors' tables: SOC specs ([Soc_file.of_spec]), time-model
+   tokens ([Test_time.model_of_token]) and solver names
+   ([Sweep.kind_of_name]) — the grammar the daemon parses too. *)
+let soc_of_spec spec =
+  match Soc_file.of_spec spec with
+  | Ok soc -> soc
+  | Error msg -> invalid_arg msg
+
+let lookup what of_name name =
+  match of_name name with
+  | Ok v -> v
+  | Error reason ->
+      invalid_arg (Printf.sprintf "unknown %s %S: %s" what name reason)
+
+let time_model_of_string = lookup "time model" Test_time.model_of_token
+let solver_kind_of_string = lookup "solver" Sweep.kind_of_name
 
 let build_problem soc ~num_buses ~total_width ~model ~d_max ~p_max =
-  let time_model =
-    match model with
-    | "serialization" -> Test_time.Serialization
-    | "scan" -> Test_time.Scan_distribution
-    | other ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf "unknown time model %S" other))
-  in
-  let exclusion_pairs =
-    match d_max with
-    | None -> []
-    | Some budget ->
-        let fp = Floorplan.place soc in
-        Layout_conflicts.exclusion_pairs fp ~d_max_mm:budget
-  in
-  let co_pairs =
-    match p_max with
-    | None -> []
-    | Some budget -> Power_conflicts.co_assignment_pairs soc ~p_max_mw:budget
-  in
+  let time_model = time_model_of_string model in
   Problem.make ~time_model
-    ~constraints:{ Problem.exclusion_pairs; co_pairs }
+    ~constraints:
+      (Protocol.budget_constraints soc ~d_max_mm:d_max ~p_max_mw:p_max)
     soc ~num_buses ~total_width
+
+let widths_of_string list =
+  List.map
+    (fun word ->
+      match int_of_string_opt (String.trim word) with
+      | Some w -> w
+      | None -> invalid_arg (Printf.sprintf "%S is not a width" word))
+    (String.split_on_char ',' list)
 
 let print_solution problem soc solution ~show_gantt =
   match solution with
@@ -289,22 +266,6 @@ let no_seed_arg =
   in
   Arg.(value & flag & info [ "no-seed" ] ~doc)
 
-let sweep_solver_of_string ?ilp_time_limit ?(no_presolve = false)
-    ?(no_cuts = false) ?(no_seed = false) ?p_max solver =
-  match solver with
-  | "exact" -> Sweep.Exact
-  | "ilp" ->
-      Sweep.Ilp
-        { time_limit_s = ilp_time_limit;
-          presolve = not no_presolve;
-          cuts = not no_cuts;
-          seed = not no_seed }
-  | "heuristic" -> Sweep.Heuristic
-  | "race" -> Sweep.Race
-  | "pack" -> Sweep.Pack { p_max_mw = p_max }
-  | other ->
-      raise (Invalid_argument (Printf.sprintf "unknown solver %S" other))
-
 (* The rows+totals document shared by solve --json, sweep --json and
    the tamoptd responses. *)
 let rows_json ?jobs ~soc ~num_buses ~solver rows =
@@ -345,13 +306,14 @@ let solve_cmd =
   let run soc_name num_buses total_width model d_max p_max solver gantt
       time_limit no_presolve no_cuts no_seed jobs trace profile json_path =
     try
-      let soc = lookup_soc soc_name in
+      let soc = soc_of_spec soc_name in
       let problem =
         build_problem soc ~num_buses ~total_width ~model ~d_max ~p_max
       in
       let solver =
-        sweep_solver_of_string ~ilp_time_limit:time_limit ~no_presolve
-          ~no_cuts ~no_seed ?p_max solver
+        Sweep.solver ~ilp_time_limit_s:time_limit ~presolve:(not no_presolve)
+          ~cuts:(not no_cuts) ~seed:(not no_seed) ?p_max_mw:p_max
+          (solver_kind_of_string solver)
       in
       let cell =
         match
@@ -453,16 +415,8 @@ let sweep_cmd =
   let run soc_name num_buses widths model d_max p_max solver no_presolve
       no_cuts no_seed jobs trace profile json_path =
     try
-      let soc = lookup_soc soc_name in
-      let parse_width word =
-        match int_of_string_opt (String.trim word) with
-        | Some w -> w
-        | None ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "%S is not a width" word))
-      in
-      let widths = List.map parse_width (String.split_on_char ',' widths) in
+      let soc = soc_of_spec soc_name in
+      let widths = widths_of_string widths in
       (* Reuse the constraint/model plumbing of [build_problem] for the
          sweep cells: derive pairs once, sweep over widths in parallel. *)
       let probe =
@@ -471,7 +425,9 @@ let sweep_cmd =
           ~model ~d_max ~p_max
       in
       let solver =
-        sweep_solver_of_string ~no_presolve ~no_cuts ~no_seed ?p_max solver
+        Sweep.solver ~presolve:(not no_presolve) ~cuts:(not no_cuts)
+          ~seed:(not no_seed) ?p_max_mw:p_max
+          (solver_kind_of_string solver)
       in
       let cells =
         Sweep.cells
@@ -535,7 +491,7 @@ let sweep_cmd =
 let info_cmd =
   let run soc_name =
     try
-      let soc = lookup_soc soc_name in
+      let soc = soc_of_spec soc_name in
       let rows =
         Soc.fold
           (fun acc i core ->
@@ -593,16 +549,8 @@ let plan_cmd =
   in
   let run soc_name num_buses widths =
     try
-      let soc = lookup_soc soc_name in
-      let parse_width word =
-        match int_of_string_opt (String.trim word) with
-        | Some w -> w
-        | None ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "%S is not a width" word))
-      in
-      let widths = List.map parse_width (String.split_on_char ',' widths) in
+      let soc = soc_of_spec soc_name in
+      let widths = widths_of_string widths in
       let curve = Soctam_plan.Tradeoff.curve soc ~num_buses ~widths in
       let pareto = Soctam_plan.Tradeoff.pareto curve in
       print_string
@@ -778,26 +726,8 @@ let load_cmd =
       if concurrency < 1 then raise (Invalid_argument "--concurrency < 1");
       if hit_ratio < 0.0 || hit_ratio > 1.0 then
         raise (Invalid_argument "--hit-ratio outside [0,1]");
-      let solver =
-        match solver with
-        | "exact" -> Protocol.Exact
-        | "ilp" -> Protocol.Ilp
-        | "heuristic" -> Protocol.Heuristic
-        | "race" -> Protocol.Race
-        | "pack" -> Protocol.Pack
-        | other ->
-            raise
-              (Invalid_argument (Printf.sprintf "unknown solver %S" other))
-      in
-      let time_model =
-        match model with
-        | "serialization" -> Test_time.Serialization
-        | "scan" -> Test_time.Scan_distribution
-        | other ->
-            raise
-              (Invalid_argument
-                 (Printf.sprintf "unknown time model %S" other))
-      in
+      let solver = solver_kind_of_string solver in
+      let time_model = time_model_of_string model in
       let distinct =
         max 1
           (int_of_float

@@ -227,7 +227,8 @@ let check ?(fault = No_fault) ?(presolve = true) ?(cuts = true)
       (Canon.of_instance ~soc:i.Gen.soc ~time_model:Test_time.Serialization
          ~constraints:
            { Problem.exclusion_pairs = i.Gen.excl; co_pairs = i.Gen.co }
-         ~solver:"exact" ~num_buses:i.Gen.num_buses
+         ~solver:Soctam_engine.Sweep.(solver_name Exact)
+         ~num_buses:i.Gen.num_buses
          ~total_width:i.Gen.total_width ())
         .Canon.key
     in

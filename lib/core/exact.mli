@@ -16,7 +16,8 @@ type stats = {
 type result = {
   solution : (Architecture.t * int) option;
       (** Optimal architecture and its test time; [None] when the
-          constraints are unsatisfiable. *)
+          constraints are unsatisfiable, or nothing beats [upper_bound]. *)
+  complete : bool;  (** [false] when [should_stop] cut the search short. *)
   stats : stats;
 }
 
@@ -25,5 +26,10 @@ type result = {
     Raises [Invalid_argument] when [parts < 1] or [total < parts]. *)
 val width_partitions : total:int -> parts:int -> int list list
 
-(** [solve problem] computes a provably optimal architecture. *)
-val solve : Problem.t -> result
+(** [solve problem] computes a provably optimal architecture: the first
+    optimum in {!width_partitions} order, whatever an [upper_bound] above
+    the optimum returns. [should_stop] and the exclusive [upper_bound] are
+    read before each partition; [report] sees each improving solution. *)
+val solve :
+  ?should_stop:(unit -> bool) -> ?upper_bound:(unit -> int option) ->
+  ?report:(Architecture.t * int -> unit) -> Problem.t -> result

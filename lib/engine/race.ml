@@ -1,7 +1,6 @@
 module Problem = Soctam_core.Problem
 module Architecture = Soctam_core.Architecture
 module Exact = Soctam_core.Exact
-module Dp_assign = Soctam_core.Dp_assign
 module Ilp = Soctam_core.Ilp_formulation
 module Heuristics = Soctam_core.Heuristics
 module Annealing = Soctam_core.Annealing
@@ -162,38 +161,18 @@ let run_anneal ctx ~iterations =
    Completing the enumeration un-cancelled proves nothing beats the
    final incumbent, wherever it came from. *)
 let run_dp ctx =
-  let p = ctx.problem in
-  let partitions =
-    Exact.width_partitions ~total:(Problem.total_width p)
-      ~parts:(Problem.num_buses p)
+  let r =
+    Exact.solve ~should_stop:(should_stop ctx)
+      ~upper_bound:(fun () ->
+        Option.map (fun inc -> inc.best_time) (Atomic.get ctx.cell))
+      ~report:(fun (architecture, test_time) ->
+        publish ctx Dp architecture test_time)
+      ctx.problem
   in
-  let nodes = ref 0 in
-  let complete = ref true in
-  List.iter
-    (fun widths_list ->
-      if !complete then
-        if should_stop ctx () then complete := false
-        else begin
-          let upper_bound =
-            match Atomic.get ctx.cell with
-            | Some inc -> Some inc.best_time
-            | None -> None
-          in
-          let widths = Array.of_list widths_list in
-          let outcome, s =
-            Dp_assign.solve_with_stats ?upper_bound p ~widths
-          in
-          nodes := !nodes + s.Dp_assign.nodes;
-          match outcome with
-          | Some { Dp_assign.assignment; test_time } ->
-              publish ctx Dp (Architecture.make ~widths ~assignment) test_time
-          | None -> ()
-        end)
-    partitions;
   Mutex.lock ctx.stats_mutex;
-  ctx.dp_nodes <- ctx.dp_nodes + !nodes;
+  ctx.dp_nodes <- ctx.dp_nodes + r.Exact.stats.Exact.nodes;
   Mutex.unlock ctx.stats_mutex;
-  if !complete then certify ctx Dp "dp"
+  if r.Exact.complete then certify ctx Dp "dp"
 
 (* The MILP engine races with its internal seeding off: the greedy
    engine already publishes to the cell, and the [?shared] hook folds
@@ -240,19 +219,8 @@ let run_engine ctx ~anneal_iterations e =
    pass is cheap: the bound prunes all but near-optimal assignments. *)
 let canonical_architecture problem t_star =
   Obs.span "race.finalize" @@ fun () ->
-  let best = ref None in
-  let best_time = ref (t_star + 1) in
-  List.iter
-    (fun widths_list ->
-      let widths = Array.of_list widths_list in
-      match Dp_assign.solve ~upper_bound:!best_time problem ~widths with
-      | Some { Dp_assign.assignment; test_time } ->
-          best_time := test_time;
-          best := Some (Architecture.make ~widths ~assignment, test_time)
-      | None -> ())
-    (Exact.width_partitions ~total:(Problem.total_width problem)
-       ~parts:(Problem.num_buses problem));
-  !best
+  (Exact.solve ~upper_bound:(fun () -> Some (t_star + 1)) problem)
+    .Exact.solution
 
 let solve ?pool ?deadline_s ?(engines = default_engines)
     ?(anneal_iterations = 4000) ?(on_event = fun _ -> ()) problem =

@@ -11,6 +11,28 @@ module Obs = Soctam_obs.Obs
 module Clock = Soctam_obs.Clock
 module Json = Soctam_obs.Json
 
+type kind = Exact | Ilp | Heuristic | Race | Pack
+
+let kinds = [ Exact; Ilp; Heuristic; Race; Pack ]
+
+let kind_name = function
+  | Exact -> "exact"
+  | Ilp -> "ilp"
+  | Heuristic -> "heuristic"
+  | Race -> "race"
+  | Pack -> "pack"
+
+let kind_of_name name =
+  match List.find_opt (fun k -> kind_name k = name) kinds with
+  | Some k -> Ok k
+  | None ->
+      let names = List.map (fun k -> Printf.sprintf "%S" (kind_name k)) kinds in
+      let last = List.length names - 1 in
+      Error
+        (Printf.sprintf "must be %s or %s"
+           (String.concat ", " (List.filteri (fun i _ -> i < last) names))
+           (List.nth names last))
+
 type solver =
   | Exact
   | Ilp of {
@@ -65,12 +87,20 @@ type totals = {
   solve_s : float;
 }
 
-let solver_name = function
-  | Exact -> "exact"
-  | Ilp _ -> "ilp"
-  | Heuristic -> "heuristic"
-  | Race -> "race"
-  | Pack _ -> "pack"
+let solver_name : solver -> string = function
+  | Exact -> kind_name Exact
+  | Ilp _ -> kind_name Ilp
+  | Heuristic -> kind_name Heuristic
+  | Race -> kind_name Race
+  | Pack _ -> kind_name Pack
+
+let solver ?ilp_time_limit_s ?(presolve = true) ?(cuts = true) ?(seed = true)
+    ?p_max_mw : kind -> solver = function
+  | Exact -> Exact
+  | Ilp -> Ilp { time_limit_s = ilp_time_limit_s; presolve; cuts; seed }
+  | Heuristic -> Heuristic
+  | Race -> Race
+  | Pack -> Pack { p_max_mw }
 
 let cells ?(time_model = Test_time.Serialization)
     ?(constraints = Problem.no_constraints) ?(solver = Exact) soc ~num_buses

@@ -14,6 +14,20 @@
     [elapsed_s] varies. [Ilp] cells given a [time_limit_s] are the one
     exception: a budget expiry depends on wall-clock load. *)
 
+(** The solver table: each family's tag and its one name, for
+    [tamopt --solver], the daemon's ["solver"] field (whose type
+    re-exports [kind]) and JSON output. Declared before {!solver}, so a
+    bare [Exact] outside this module still means a {!solver}. *)
+type kind = Exact | Ilp | Heuristic | Race | Pack
+
+val kinds : kind list
+
+(** ["exact"], ["ilp"], ["heuristic"], ["race"], ["pack"]. *)
+val kind_name : kind -> string
+
+(** Inverse of {!kind_name}; the error reason lists the table's names. *)
+val kind_of_name : string -> (kind, string) result
+
 type solver =
   | Exact  (** Width-partition enumeration + assignment DP. *)
   | Ilp of {
@@ -146,9 +160,14 @@ val run :
 
 val totals : row list -> totals
 
-(** Short stable solver tag: ["exact"], ["ilp"], ["heuristic"],
-    ["race"], ["pack"]. Used in trace args and JSON output. *)
+(** The {!kind_name} of the solver's tag. *)
 val solver_name : solver -> string
+
+(** [solver kind] builds a tag's solver. ILP [presolve], [cuts] and
+    [seed] default to on, with no time limit; [p_max_mw] is the [Pack]
+    envelope. Options that do not apply to [kind] are ignored. *)
+val solver : ?ilp_time_limit_s:float -> ?presolve:bool -> ?cuts:bool ->
+  ?seed:bool -> ?p_max_mw:float -> kind -> solver
 
 (** One row / the totals as JSON — the schema shared by
     [tamopt solve --json], [tamopt sweep --json], the [tamoptd]

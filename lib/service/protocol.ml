@@ -4,8 +4,13 @@ module Core_def = Soctam_soc.Core_def
 module Test_time = Soctam_soc.Test_time
 module Benchmarks = Soctam_soc.Benchmarks
 module Soc_file = Soctam_soc.Soc_file
+module Problem = Soctam_core.Problem
+module Floorplan = Soctam_layout.Floorplan
+module Layout_conflicts = Soctam_layout.Conflicts
+module Power_conflicts = Soctam_power.Power_conflicts
+module Sweep = Soctam_engine.Sweep
 
-type solver = Exact | Ilp | Heuristic | Race | Pack
+type solver = Sweep.kind = Exact | Ilp | Heuristic | Race | Pack
 
 type soc_spec = Named of string | Inline of Soc.t
 
@@ -37,12 +42,7 @@ type request =
   | Sleep of { ms : float }
   | Shutdown
 
-let solver_name = function
-  | Exact -> "exact"
-  | Ilp -> "ilp"
-  | Heuristic -> "heuristic"
-  | Race -> "race"
-  | Pack -> "pack"
+let solver_name = Sweep.kind_name
 
 let id_of json =
   match Json.member "id" json with Some v -> v | None -> Json.Null
@@ -177,21 +177,14 @@ let parse_soc_spec json =
 
 (* ---- requests ---- *)
 
-let parse_solver ~what = function
-  | Json.Str "exact" -> Ok Exact
-  | Json.Str "ilp" -> Ok Ilp
-  | Json.Str "heuristic" -> Ok Heuristic
-  | Json.Str "race" -> Ok Race
-  | Json.Str "pack" -> Ok Pack
-  | _ ->
-      Error
-        (what
-        ^ " must be \"exact\", \"ilp\", \"heuristic\", \"race\" or \"pack\"")
+(* Solver and model names come from their tables; a value that is not
+   a string gets the same "must be ..." reason as an unknown name. *)
+let parse_name of_name ~what json =
+  let name = match json with Json.Str s -> s | _ -> "" in
+  Result.map_error (fun reason -> what ^ " " ^ reason) (of_name name)
 
-let parse_model ~what = function
-  | Json.Str "serialization" -> Ok Test_time.Serialization
-  | Json.Str "scan" -> Ok Test_time.Scan_distribution
-  | _ -> Error (what ^ " must be \"serialization\" or \"scan\"")
+let parse_solver = parse_name Sweep.kind_of_name
+let parse_model = parse_name Test_time.model_of_token
 
 let parse_instance ?widths json =
   let* soc_json =
@@ -281,40 +274,25 @@ let parse_request json =
       | other -> Error (Printf.sprintf "unknown op %S" other))
   | _ -> Error "request must be a JSON object"
 
-(* ---- server-side SOC resolution ---- *)
-
-let resolve_named spec =
-  match spec with
-  | "s1" | "S1" -> Ok (Benchmarks.s1 ())
-  | "s2" | "S2" -> Ok (Benchmarks.s2 ())
-  | "s3" | "S3" -> Ok (Benchmarks.s3 ())
-  | spec -> (
-      match String.split_on_char ':' spec with
-      | [ "rnd"; seed; n ] -> (
-          match (int_of_string_opt seed, int_of_string_opt n) with
-          | Some _, Some n when n > max_dimension ->
-              Error
-                (Printf.sprintf "rnd core count exceeds the service cap (%d)"
-                   max_dimension)
-          | Some seed, Some n -> (
-              match Benchmarks.random ~seed ~num_cores:n () with
-              | soc -> Ok soc
-              | exception Invalid_argument msg -> Error msg)
-          | _ -> Error "rnd:<seed>:<n> takes two integers")
-      | "file" :: rest -> (
-          let path = String.concat ":" rest in
-          match Soc_file.of_file path with
-          | (Ok _ | Error _) as r -> r
-          | exception Sys_error msg -> Error msg)
-      | _ ->
-          Error
-            (Printf.sprintf
-               "unknown SOC %S (use s1, s2, s3, rnd:<seed>:<n>, \
-                file:<path> or an inline object)" spec))
+(* ---- server-side instance assembly ---- *)
 
 let resolve_soc = function
   | Inline soc -> Ok soc
-  | Named spec -> resolve_named spec
+  | Named spec -> Soc_file.of_spec ~max_cores:max_dimension spec
+
+let budget_constraints soc ~d_max_mm ~p_max_mw =
+  let exclusion_pairs =
+    match d_max_mm with
+    | None -> []
+    | Some d ->
+        Layout_conflicts.exclusion_pairs (Floorplan.place soc) ~d_max_mm:d
+  in
+  let co_pairs =
+    match p_max_mw with
+    | None -> []
+    | Some p -> Power_conflicts.co_assignment_pairs soc ~p_max_mw:p
+  in
+  { Problem.exclusion_pairs; co_pairs }
 
 (* ---- client-side rendering ---- *)
 
@@ -342,11 +320,7 @@ let instance_fields instance =
   [ ("soc", json_of_soc_spec instance.soc_spec);
     ("solver", Json.Str (solver_name instance.solver));
     ("num_buses", Json.int instance.num_buses);
-    ( "model",
-      Json.Str
-        (match instance.time_model with
-        | Test_time.Serialization -> "serialization"
-        | Test_time.Scan_distribution -> "scan") ) ]
+    ("model", Json.Str (Test_time.model_token instance.time_model)) ]
   @ (match instance.d_max_mm with
     | Some d -> [ ("d_max", Json.Num d) ]
     | None -> [])

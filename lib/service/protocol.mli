@@ -58,7 +58,8 @@
     stream nothing: the incumbent trajectory is a property of a solve,
     not of its reused answer. *)
 
-type solver = Exact | Ilp | Heuristic | Race | Pack
+(** The tag of the {!Soctam_engine.Sweep} solver table. *)
+type solver = Soctam_engine.Sweep.kind = Exact | Ilp | Heuristic | Race | Pack
 
 type soc_spec =
   | Named of string  (** Benchmark spec string, resolved server-side. *)
@@ -122,10 +123,16 @@ val parse_request :
   Soctam_obs.Json.t -> (request, string) result
 
 (** [resolve_soc spec] materializes the SOC: [Inline] as-is, [Named]
-    through the same spec grammar as [tamopt --soc] (["s1"]/["s2"]/
-    ["s3"], ["rnd:<seed>:<n>"], ["file:<path>"]). Errors are
-    human-readable and become [bad_request] replies. *)
+    through {!Soctam_soc.Soc_file.of_spec} (the grammar of [tamopt
+    --soc]) capped at 100000 cores. Errors are human-readable and
+    become [bad_request] replies. *)
 val resolve_soc : soc_spec -> (Soctam_soc.Soc.t, string) result
+
+(** Exclusion pairs from the layout budget (over the floorplan) and
+    co-assignment pairs from the power budget — for the daemon and
+    [tamopt] alike. *)
+val budget_constraints : Soctam_soc.Soc.t -> d_max_mm:float option ->
+  p_max_mw:float option -> Soctam_core.Problem.constraints
 
 (** [json_of_request ?id req] renders a request the daemon parses back
     — the client half of the protocol, used by [tamopt load]/[rpc] and

@@ -142,10 +142,46 @@ let of_string text =
       try Ok (Soc.make ~name (List.rev cores))
       with Invalid_argument msg -> Error msg)
 
+(* Every error names the path once: an open failure's message already
+   starts with it, a read failure's and a parse error's do not. *)
 let of_file path =
+  let named msg =
+    if String.starts_with ~prefix:path msg then msg
+    else Printf.sprintf "%s: %s" path msg
+  in
   match In_channel.with_open_text path In_channel.input_all with
-  | text -> of_string text
-  | exception Sys_error msg -> Error msg
+  | text -> Result.map_error named (of_string text)
+  | exception Sys_error msg -> Error (named msg)
+
+let of_spec ?(max_cores = max_int) spec =
+  let over_cap n =
+    Error
+      (Printf.sprintf "SOC %S has %d cores, above the cap of %d" spec n
+         max_cores)
+  in
+  let capped soc =
+    let n = Soc.num_cores soc in
+    if n > max_cores then over_cap n else Ok soc
+  in
+  match String.split_on_char ':' spec with
+  | [ ("s1" | "S1") ] -> capped (Benchmarks.s1 ())
+  | [ ("s2" | "S2") ] -> capped (Benchmarks.s2 ())
+  | [ ("s3" | "S3") ] -> capped (Benchmarks.s3 ())
+  | [ "rnd"; seed; n ] -> (
+      match (int_of_string_opt seed, int_of_string_opt n) with
+      | Some _, Some n when n > max_cores -> over_cap n
+      | Some seed, Some n -> (
+          match Benchmarks.random ~seed ~num_cores:n () with
+          | soc -> Ok soc
+          | exception Invalid_argument msg -> Error msg)
+      | _ -> Error "rnd:<seed>:<n> takes two integers")
+  | "file" :: rest ->
+      Result.bind (of_file (String.concat ":" rest)) capped
+  | _ ->
+      Error
+        (Printf.sprintf
+           "unknown SOC %S (use s1, s2, s3, rnd:<seed>:<n> or file:<path>)"
+           spec)
 
 let to_string soc =
   let buf = Buffer.create 1024 in

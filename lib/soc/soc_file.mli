@@ -19,8 +19,14 @@
 val of_string : string -> (Soc.t, string) result
 
 (** [of_file path] reads and parses a file; IO errors are reported in the
-    same [Error] channel. *)
+    same [Error] channel, and every error names the path. *)
 val of_file : string -> (Soc.t, string) result
+
+(** [of_spec ?max_cores spec] resolves the one SOC spec grammar, shared
+    by [tamopt --soc] and the daemon: ["s1"]/["s2"]/["s3"],
+    ["rnd:<seed>:<n>"] or ["file:<path>"]. An SOC above [max_cores] is
+    rejected in every form ([rnd] before it is generated). *)
+val of_spec : ?max_cores:int -> string -> (Soc.t, string) result
 
 (** [to_string soc] renders a description that {!of_string} parses back
     to an equal SOC (floats are printed in full precision). *)

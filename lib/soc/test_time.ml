@@ -33,3 +33,18 @@ let table model core ~max_width =
 let model_name = function
   | Serialization -> "serialization"
   | Scan_distribution -> "scan-distribution"
+
+let models = [ Serialization; Scan_distribution ]
+
+let model_token = function
+  | Serialization -> "serialization"
+  | Scan_distribution -> "scan"
+
+let model_of_token token =
+  match List.find_opt (fun m -> model_token m = token) models with
+  | Some m -> Ok m
+  | None ->
+      Error
+        ("must be "
+        ^ String.concat " or "
+            (List.map (fun m -> Printf.sprintf "%S" (model_token m)) models))

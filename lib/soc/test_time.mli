@@ -36,5 +36,11 @@ val cycles : model -> Core_def.t -> width:int -> int
 val table : model -> Core_def.t -> max_width:int -> int array
 
 (** Human-readable model name ("serialization" /
-    "scan-distribution"). *)
+    "scan-distribution"); it feeds canonical digests. *)
 val model_name : model -> string
+
+(** The [--model] / wire spelling: ["serialization"] or ["scan"]. *)
+val model_token : model -> string
+
+(** Inverse of {!model_token}; the error reason lists the tokens. *)
+val model_of_token : string -> (model, string) result

@@ -152,11 +152,71 @@ let test_stats_populated () =
   Alcotest.(check int) "partitions of 12 into 2" 6 r.Exact.stats.Exact.partitions;
   Alcotest.(check bool) "nodes counted" true (r.Exact.stats.Exact.nodes > 0)
 
+(* The enumerator's hooks, on an instance with many partitions. *)
+let hooks_problem () =
+  Problem.make (Benchmarks.s1 ()) ~num_buses:3 ~total_width:20
+
+let test_should_stop_incomplete () =
+  let problem = hooks_problem () in
+  let full = Exact.solve problem in
+  Alcotest.(check bool) "unhooked run completes" true full.Exact.complete;
+  let k = 3 in
+  Alcotest.(check bool) "more than k partitions" true
+    (full.Exact.stats.Exact.partitions > k);
+  let polls = ref 0 in
+  let r =
+    Exact.solve
+      ~should_stop:(fun () ->
+        incr polls;
+        !polls > k)
+      problem
+  in
+  Alcotest.(check bool) "stopped run is incomplete" false r.Exact.complete;
+  Alcotest.(check int) "k partitions searched" k
+    r.Exact.stats.Exact.partitions
+
+let test_bound_keeps_architecture () =
+  let problem = hooks_problem () in
+  match (Exact.solve problem).Exact.solution with
+  | None -> Alcotest.fail "feasible"
+  | Some (arch, t) -> (
+      let bounded =
+        Exact.solve ~upper_bound:(fun () -> Some (t + 1)) problem
+      in
+      Alcotest.(check bool) "bounded run completes" true
+        bounded.Exact.complete;
+      match bounded.Exact.solution with
+      | Some (arch', t') ->
+          Alcotest.(check int) "same time" t t';
+          Alcotest.(check bool) "same architecture" true (arch = arch')
+      | None -> Alcotest.fail "bound of optimum + 1 lost the optimum")
+
+let test_report_improves () =
+  let problem = hooks_problem () in
+  let seen = ref [] in
+  let r = Exact.solve ~report:(fun (_, t) -> seen := t :: !seen) problem in
+  let times = List.rev !seen in
+  Alcotest.(check bool) "something reported" true (times <> []);
+  let rec strictly_decreasing = function
+    | a :: (b :: _ as rest) -> b < a && strictly_decreasing rest
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool) "strictly improving" true (strictly_decreasing times);
+  Alcotest.(check (option int)) "last report is the answer"
+    (Option.map snd r.Exact.solution)
+    (List.nth_opt times (List.length times - 1))
+
 let suite =
   [ Alcotest.test_case "known partitions" `Quick test_partitions_known;
     Alcotest.test_case "monotone in width" `Quick test_monotone_in_width;
     Alcotest.test_case "extra bus helps" `Quick test_monotone_in_buses;
     Alcotest.test_case "stats populated" `Quick test_stats_populated;
+    Alcotest.test_case "should_stop leaves it incomplete" `Quick
+      test_should_stop_incomplete;
+    Alcotest.test_case "bound keeps the architecture" `Quick
+      test_bound_keeps_architecture;
+    Alcotest.test_case "report sees improvements" `Quick
+      test_report_improves;
     QCheck_alcotest.to_alcotest prop_partitions_well_formed;
     QCheck_alcotest.to_alcotest prop_partition_count_matches_recurrence;
     QCheck_alcotest.to_alcotest prop_matches_reference;

@@ -326,6 +326,76 @@ let test_protocol_roundtrip () =
         (Some 100.0) deadline_ms
   | Ok _ | Error _ -> Alcotest.failf "roundtrip failed on %s" line
 
+(* The names on the wire are the solver and model tables, nothing else:
+   every tag and token round-trips through the protocol, the sweep's
+   own name for a tag agrees with the table, and the unknown-solver
+   reason lists exactly the table's names. *)
+let test_names_from_tables () =
+  let models = [ Test_time.Serialization; Test_time.Scan_distribution ] in
+  List.iter
+    (fun kind ->
+      let name = Sweep.kind_name kind in
+      Alcotest.(check string) ("sweep name of " ^ name) name
+        (Sweep.solver_name (Sweep.solver kind));
+      Alcotest.(check string) ("protocol name of " ^ name) name
+        (Protocol.solver_name kind);
+      List.iter
+        (fun time_model ->
+          let instance =
+            { Protocol.soc_spec = Protocol.Named "s1";
+              solver = kind;
+              num_buses = 2;
+              total_width = 8;
+              time_model;
+              d_max_mm = None;
+              p_max_mw = None }
+          in
+          let json =
+            Protocol.json_of_request
+              (Protocol.Solve { instance; deadline_ms = None; stream = false })
+          in
+          Alcotest.(check (option string))
+            "solver field" (Some name)
+            (match Json.member "solver" json with
+            | Some (Json.Str s) -> Some s
+            | _ -> None);
+          Alcotest.(check (option string))
+            "model field"
+            (Some (Test_time.model_token time_model))
+            (match Json.member "model" json with
+            | Some (Json.Str s) -> Some s
+            | _ -> None);
+          match Protocol.parse_request json with
+          | Ok (Protocol.Solve { instance = i; _ }) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s round-trips" name
+                   (Test_time.model_token time_model))
+                true (i = instance)
+          | Ok _ | Error _ -> Alcotest.failf "%s did not round-trip" name)
+        models)
+    Sweep.kinds;
+  let quoted_names msg =
+    String.split_on_char '"' msg
+    |> List.filteri (fun i _ -> i mod 2 = 1)
+  in
+  let reason line =
+    match parse_line line with
+    | Ok _ -> Alcotest.failf "accepted %s" line
+    | Error msg -> msg
+  in
+  Alcotest.(check (list string))
+    "unknown solver lists the table"
+    (List.map Sweep.kind_name Sweep.kinds)
+    (quoted_names
+       (reason
+          {|{"op":"solve","soc":"s1","solver":"simplex","num_buses":2,"total_width":8}|}));
+  Alcotest.(check (list string))
+    "unknown model lists the tokens"
+    (List.map Test_time.model_token models)
+    (quoted_names
+       (reason
+          {|{"op":"solve","soc":"s1","model":"fast","num_buses":2,"total_width":8}|}))
+
 let test_resolve_soc () =
   (match Protocol.resolve_soc (Protocol.Named "s2") with
   | Ok soc -> Alcotest.(check int) "s2 cores" 10 (Soc.num_cores soc)
@@ -662,6 +732,8 @@ let suite =
     Alcotest.test_case "protocol parse" `Quick test_protocol_parse;
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
+    Alcotest.test_case "names come from the tables" `Quick
+      test_names_from_tables;
     Alcotest.test_case "resolve soc specs" `Quick test_resolve_soc;
     Alcotest.test_case "solve and cache" `Quick test_service_solve_and_cache;
     Alcotest.test_case "permuted request hits" `Quick

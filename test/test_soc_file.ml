@@ -102,6 +102,50 @@ let test_of_file () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file must error"
 
+let test_of_spec () =
+  let cores spec =
+    match Soc_file.of_spec spec with
+    | Ok soc -> Soc.num_cores soc
+    | Error msg -> Alcotest.failf "of_spec %s: %s" spec msg
+  in
+  Alcotest.(check int) "s1" 6 (cores "s1");
+  Alcotest.(check int) "S2" 10 (cores "S2");
+  Alcotest.(check int) "rnd" 5 (cores "rnd:3:5");
+  let rejected ?max_cores spec =
+    match Soc_file.of_spec ?max_cores spec with
+    | Ok _ -> Alcotest.failf "of_spec accepted %s" spec
+    | Error msg -> msg
+  in
+  Alcotest.(check bool) "unknown spec names the grammar" true
+    (contains (rejected "bogus") "rnd:<seed>:<n>");
+  ignore (rejected "rnd:x:3");
+  ignore (rejected "rnd:1:0");
+  Alcotest.(check bool) "missing file names the path" true
+    (contains (rejected "file:/nonexistent/really.soc") "really.soc")
+
+(* The core cap applies to the resolved SOC of every named form, not
+   only to an [rnd] count. *)
+let test_of_spec_cap () =
+  let path = Filename.temp_file "soctam" ".soc" in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc
+        (sample ^ "core dsp inputs=32 outputs=32 patterns=90\n"));
+  let spec = "file:" ^ path in
+  let outcome ~max_cores spec =
+    Result.map Soc.num_cores (Soc_file.of_spec ~max_cores spec)
+  in
+  Alcotest.(check bool) "3-core file under a cap of 2" true
+    (Result.is_error (outcome ~max_cores:2 spec));
+  Alcotest.(check (result int string)) "3-core file at a cap of 3" (Ok 3)
+    (outcome ~max_cores:3 spec);
+  Sys.remove path;
+  Alcotest.(check bool) "rnd over the cap" true
+    (Result.is_error (outcome ~max_cores:2 "rnd:1:3"));
+  Alcotest.(check bool) "benchmark over the cap" true
+    (Result.is_error (outcome ~max_cores:2 "s1"));
+  Alcotest.(check (result int string)) "rnd at the cap" (Ok 2)
+    (outcome ~max_cores:2 "rnd:1:2")
+
 let suite =
   [ Alcotest.test_case "parse sample" `Quick test_parse_sample;
     Alcotest.test_case "ff without chains" `Quick
@@ -110,4 +154,6 @@ let suite =
     Alcotest.test_case "error cases" `Quick test_error_cases;
     Alcotest.test_case "roundtrip sample" `Quick test_roundtrip_sample;
     Alcotest.test_case "of_file" `Quick test_of_file;
+    Alcotest.test_case "of_spec" `Quick test_of_spec;
+    Alcotest.test_case "of_spec core cap" `Quick test_of_spec_cap;
     QCheck_alcotest.to_alcotest prop_roundtrip_random ]
