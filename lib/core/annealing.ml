@@ -125,16 +125,20 @@ let snapshot st =
   let assignment = Clustering.expand st.clustering st.cluster_bus in
   Architecture.make ~widths:st.widths ~assignment
 
-let solve ?(seed = 1) ?(iterations = 20_000) ?initial_temperature
+let solve ?(seed = 1) ?start ?(iterations = 20_000) ?initial_temperature
     ?(cooling = 0.999) ?(should_stop = fun () -> false)
     ?(report = fun _ -> ()) problem =
   match Clustering.build problem with
   | Error _ -> None
   | Ok clustering -> (
       let start =
-        match Heuristics.solve ~seed problem with
-        | Some { Heuristics.architecture; _ } -> Some architecture
-        | None -> None
+        match start with
+        | Some _ -> start
+        | None when should_stop () -> None
+        | None ->
+            Option.map
+              (fun { Heuristics.architecture; _ } -> architecture)
+              (Heuristics.solve ~seed ~should_stop problem)
       in
       match start with
       | None -> None

@@ -11,17 +11,23 @@
 type outcome = { architecture : Architecture.t; test_time : int }
 
 (** [solve ?seed ?iterations ?initial_temperature ?cooling problem] runs
-    the annealer from the greedy solution (or a trivial feasible one).
+    the annealer from the greedy solution ([Heuristics.solve ~seed]).
     Defaults: seed 1, 20_000 iterations, initial temperature set to 5% of
     the initial makespan, cooling factor 0.999. [None] when no feasible
-    starting point could be constructed. [should_stop] is polled once
-    per iteration; on [true] the loop exits early and the best solution
-    found so far is returned. [report] fires on every strictly
-    improving accepted state, in discovery order — racing callers
-    publish incumbents through it. With the default hooks the result is
-    unchanged and deterministic in [seed]. *)
+    starting point could be constructed. [start] replaces the greedy
+    run with an architecture the caller already has — a race passes
+    its greedy engine's result, so [solve ~start] with
+    [Heuristics.solve ~seed]'s architecture equals [solve]. [start] must
+    be feasible. [should_stop] is polled before and during the greedy
+    run and once per iteration; on [true] the loop exits early and the
+    best solution found so far is returned ([None] if it was already
+    [true] on entry and no [start] was given). [report] fires on every
+    strictly improving accepted state, in discovery order — racing
+    callers publish incumbents through it. With the default hooks the
+    result is unchanged and deterministic in [seed]. *)
 val solve :
   ?seed:int ->
+  ?start:Architecture.t ->
   ?iterations:int ->
   ?initial_temperature:float ->
   ?cooling:float ->

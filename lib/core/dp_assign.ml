@@ -8,9 +8,11 @@ let dp_cluster_limit = 20
    imperative pass using the lowest-set-bit recurrence. *)
 let dp_two_bus problem clustering widths ~upper_bound nodes =
   let m = Clustering.num_clusters clustering in
-  let time c b =
-    Clustering.time clustering problem ~cluster:c ~width:widths.(b)
+  let time b =
+    Array.init m (fun c ->
+        Clustering.time clustering problem ~cluster:c ~width:widths.(b))
   in
+  let time0 = time 0 and time1 = time 1 in
   let size = 1 lsl m in
   let load0 = Array.make size 0 in
   let load1 = Array.make size 0 in
@@ -22,8 +24,8 @@ let dp_two_bus problem clustering widths ~upper_bound nodes =
       bit 0 low
     in
     let rest = mask lxor low in
-    load0.(mask) <- load0.(rest) + time c 0;
-    load1.(mask) <- load1.(rest) + time c 1
+    load0.(mask) <- load0.(rest) + time0.(c);
+    load1.(mask) <- load1.(rest) + time1.(c)
   done;
   let pair_masks =
     List.map

@@ -69,86 +69,137 @@ let greedy problem ~widths =
           | Some test_time -> Some { architecture; test_time }
           | None -> None))
 
-(* One pass of first-improvement neighbourhood exploration. Returns the
-   improved solution and whether anything changed. *)
-let improve_once problem (current : outcome) =
+(* First-improvement local search over clusters. The state — per-bus
+   loads, the number of co-located exclusion pairs and a per-width
+   column of cluster times — is updated in place by each candidate and
+   undone on rejection, so a candidate costs O(buses) (plus O(clusters)
+   for a width transfer) instead of an architecture rebuild and a full
+   re-evaluation. Moves are tried in the order cluster moves, cluster
+   swaps, unit width transfers; the first strictly better feasible
+   candidate is kept and the scan restarts, until a local optimum. *)
+let improve problem (start : outcome) =
+  let arch = start.architecture in
+  let nb = Architecture.num_buses arch in
   match cluster_setup problem with
-  | None -> (current, false)
+  | None -> start
+  | Some _
+    when nb <> Problem.num_buses problem
+         || Architecture.total_width arch <> Problem.total_width problem ->
+      (* No rearrangement of this architecture is feasible. *)
+      start
   | Some clustering ->
-      let arch = current.architecture in
-      let nb = Architecture.num_buses arch in
-      let widths = Array.copy arch.Architecture.widths in
       let m = Clustering.num_clusters clustering in
+      let widths = Array.copy arch.Architecture.widths in
       let cluster_bus =
         Array.init m (fun c ->
             match clustering.Clustering.members.(c) with
             | core :: _ -> arch.Architecture.assignment.(core)
             | [] -> 0)
       in
-      let rebuild () =
-        Architecture.make ~widths
-          ~assignment:(Clustering.expand clustering cluster_bus)
+      let columns = Array.make (Problem.total_width problem + 1) [||] in
+      let column w =
+        if Array.length columns.(w) = 0 then
+          columns.(w) <-
+            Array.init m (fun c ->
+                Clustering.time clustering problem ~cluster:c ~width:w);
+        columns.(w)
       in
-      let best = ref current.test_time in
-      let improved = ref false in
-      let try_current () =
-        let candidate = rebuild () in
-        match evaluate problem candidate with
-        | Some t when t < !best ->
-            best := t;
-            improved := true;
-            true
-        | Some _ | None -> false
+      let time c b = (column widths.(b)).(c) in
+      let neighbours = Array.make m [] in
+      List.iter
+        (fun (a, b) ->
+          neighbours.(a) <- b :: neighbours.(a);
+          neighbours.(b) <- a :: neighbours.(b))
+        clustering.Clustering.exclusions;
+      let on_bus c b =
+        List.fold_left
+          (fun n c' -> if cluster_bus.(c') = b then n + 1 else n)
+          0 neighbours.(c)
       in
-      (* Cluster moves. *)
-      for c = 0 to m - 1 do
-        let original = cluster_bus.(c) in
-        for b = 0 to nb - 1 do
-          if b <> original && not !improved then begin
-            cluster_bus.(c) <- b;
-            if not (try_current ()) then cluster_bus.(c) <- original
-          end
-        done
+      let loads = Array.make nb 0 in
+      let bus_load b =
+        let acc = ref 0 in
+        Array.iteri
+          (fun c b' -> if b' = b then acc := !acc + time c b)
+          cluster_bus;
+        !acc
+      in
+      for b = 0 to nb - 1 do
+        loads.(b) <- bus_load b
       done;
-      (* Cluster swaps. *)
-      if not !improved then
-        for c1 = 0 to m - 1 do
-          for c2 = c1 + 1 to m - 1 do
-            if (not !improved) && cluster_bus.(c1) <> cluster_bus.(c2) then begin
-              let b1 = cluster_bus.(c1) and b2 = cluster_bus.(c2) in
-              cluster_bus.(c1) <- b2;
-              cluster_bus.(c2) <- b1;
-              if not (try_current ()) then begin
-                cluster_bus.(c1) <- b1;
-                cluster_bus.(c2) <- b2
-              end
-            end
-          done
+      let clashes =
+        ref
+          (List.length
+             (List.filter
+                (fun (a, b) -> cluster_bus.(a) = cluster_bus.(b))
+                clustering.Clustering.exclusions))
+      in
+      let move c b =
+        let src = cluster_bus.(c) in
+        clashes := !clashes - on_bus c src;
+        loads.(src) <- loads.(src) - time c src;
+        cluster_bus.(c) <- b;
+        clashes := !clashes + on_bus c b;
+        loads.(b) <- loads.(b) + time c b
+      in
+      let shift src dst =
+        widths.(src) <- widths.(src) - 1;
+        widths.(dst) <- widths.(dst) + 1;
+        loads.(src) <- bus_load src;
+        loads.(dst) <- bus_load dst
+      in
+      let best = ref start.test_time in
+      let accepted () =
+        !clashes = 0
+        &&
+        let t = Array.fold_left max 0 loads in
+        if t < !best then begin
+          best := t;
+          true
+        end
+        else false
+      in
+      (* Each [try_*] applies one candidate, keeps it if it improves and
+         undoes it otherwise. *)
+      let try_move c b =
+        let original = cluster_bus.(c) in
+        move c b;
+        accepted () || (move c original; false)
+      in
+      let try_swap c1 c2 =
+        let b1 = cluster_bus.(c1) and b2 = cluster_bus.(c2) in
+        move c1 b2;
+        move c2 b1;
+        accepted () || (move c2 b2; move c1 b1; false)
+      in
+      let try_shift src dst =
+        shift src dst;
+        accepted () || (shift dst src; false)
+      in
+      let rec exists_in lo hi f =
+        lo < hi && (f lo || exists_in (lo + 1) hi f)
+      in
+      let improve_once () =
+        exists_in 0 m (fun c ->
+            let original = cluster_bus.(c) in
+            exists_in 0 nb (fun b -> b <> original && try_move c b))
+        || exists_in 0 m (fun c1 ->
+               exists_in (c1 + 1) m (fun c2 ->
+                   cluster_bus.(c1) <> cluster_bus.(c2) && try_swap c1 c2))
+        || exists_in 0 nb (fun src ->
+               exists_in 0 nb (fun dst ->
+                   src <> dst && widths.(src) > 1 && try_shift src dst))
+      in
+      if not (improve_once ()) then start
+      else begin
+        while improve_once () do
+          ()
         done;
-      (* Unit width transfers. *)
-      if not !improved then
-        for src = 0 to nb - 1 do
-          for dst = 0 to nb - 1 do
-            if (not !improved) && src <> dst && widths.(src) > 1 then begin
-              widths.(src) <- widths.(src) - 1;
-              widths.(dst) <- widths.(dst) + 1;
-              if not (try_current ()) then begin
-                widths.(src) <- widths.(src) + 1;
-                widths.(dst) <- widths.(dst) - 1
-              end
-            end
-          done
-        done;
-      if !improved then
-        ({ architecture = rebuild (); test_time = !best }, true)
-      else (current, false)
-
-let improve problem outcome =
-  let rec loop current =
-    let next, changed = improve_once problem current in
-    if changed then loop next else current
-  in
-  loop outcome
+        { architecture =
+            Architecture.make ~widths
+              ~assignment:(Clustering.expand clustering cluster_bus);
+          test_time = !best }
+      end
 
 let balanced_partition ~total ~parts =
   let base = total / parts and extra = total mod parts in

@@ -13,7 +13,14 @@ val greedy : Problem.t -> widths:int array -> outcome option
 
 (** [improve problem outcome] runs first-improvement local search from an
     initial solution: cluster moves, cluster swaps and unit width
-    transfers between buses, until a local optimum is reached. *)
+    transfers between buses, tried in that order, each candidate kept
+    only if feasible and strictly faster, until a local optimum is
+    reached. The search is incremental: per-bus loads, per-width
+    cluster times and the count of co-located exclusion pairs are
+    updated by each candidate and undone on rejection, so a candidate
+    costs O(buses) (a width transfer O(clusters)) rather than an
+    architecture rebuild and a full {!Cost.evaluate}. The trajectory
+    is the full re-evaluation's, move for move. *)
 val improve : Problem.t -> outcome -> outcome
 
 (** [solve ?seed ?restarts problem] is the full heuristic: greedy over a

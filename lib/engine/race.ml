@@ -46,10 +46,12 @@ type incumbent = {
 
 (* Everything the racing engines share. The three atomics carry the
    protocol (incumbent, lower bound, certificate); [stop] and [token]
-   carry cancellation; the mutex guards only cold-path aggregation of
-   per-engine search statistics. *)
+   carry cancellation; [stats_mutex] guards only cold-path aggregation
+   of per-engine results; [greedy_mutex] guards the once-cell
+   [greedy]. *)
 type ctx = {
   problem : Problem.t;
+  engines : engine list;
   start : float;
   deadline_s : float option;
   cell : incumbent option Atomic.t;
@@ -61,7 +63,11 @@ type ctx = {
   on_event : event -> unit;
   stats_mutex : Mutex.t;
   mutable dp_nodes : int;
+  mutable dp_solution : (Architecture.t * int) option;
+      (** The answer of a DP enumeration that completed. *)
   mutable ilp_stats : Ilp.solve_stats option;
+  greedy_mutex : Mutex.t;
+  mutable greedy : Heuristics.outcome option option;
 }
 
 let should_stop ctx () =
@@ -132,45 +138,65 @@ let run_pack ctx =
      family races for real in {!solve_pack}, against its own cell. *)
   raise_lb ctx Pack bound
 
-let run_greedy ctx =
-  match
-    Heuristics.solve ~should_stop:(should_stop ctx)
-      ~report:(fun { Heuristics.architecture; test_time } ->
-        publish ctx Greedy architecture test_time)
-      ctx.problem
-  with
-  | Some { Heuristics.architecture; test_time } ->
-      publish ctx Greedy architecture test_time
-  | None -> ()
+(* The greedy heuristic, run once per race by whichever of Greedy and
+   Anneal asks first; the other waits for it and reuses the outcome.
+   Its improvements stream as Greedy's, and only when Greedy is in the
+   portfolio. *)
+let greedy_outcome ctx =
+  Mutex.protect ctx.greedy_mutex @@ fun () ->
+  match ctx.greedy with
+  | Some outcome -> outcome
+  | None ->
+      let report =
+        if List.mem Greedy ctx.engines then
+          fun { Heuristics.architecture; test_time } ->
+            publish ctx Greedy architecture test_time
+        else ignore
+      in
+      let outcome =
+        Heuristics.solve ~should_stop:(should_stop ctx) ~report ctx.problem
+      in
+      ctx.greedy <- Some outcome;
+      outcome
 
+let run_greedy ctx = ignore (greedy_outcome ctx)
+
+(* The annealer refines the greedy outcome rather than recomputing it. *)
 let run_anneal ctx ~iterations =
-  match
-    Annealing.solve ~iterations ~should_stop:(should_stop ctx)
-      ~report:(fun { Annealing.architecture; test_time } ->
-        publish ctx Anneal architecture test_time)
-      ctx.problem
-  with
-  | Some { Annealing.architecture; test_time } ->
-      publish ctx Anneal architecture test_time
+  match greedy_outcome ctx with
   | None -> ()
+  | Some { Heuristics.architecture = start; _ } -> (
+      match
+        Annealing.solve ~start ~iterations ~should_stop:(should_stop ctx)
+          ~report:(fun { Annealing.architecture; test_time } ->
+            publish ctx Anneal architecture test_time)
+          ctx.problem
+      with
+      | Some { Annealing.architecture; test_time } ->
+          publish ctx Anneal architecture test_time
+      | None -> ())
 
 (* The complete enumeration engine: every width partition, each pruned
-   by the freshest shared incumbent (the DP's [upper_bound] is
-   exclusive — equal-valued solutions are already covered by the cell).
-   Pruning with a stale (larger) bound is sound: it only prunes less.
-   Completing the enumeration un-cancelled proves nothing beats the
-   final incumbent, wherever it came from. *)
+   by the freshest shared incumbent plus one (the DP's [upper_bound] is
+   exclusive, so this keeps solutions equal to the incumbent). Pruning
+   with a stale (larger) bound is sound: it only prunes less, and as
+   long as the bound stays above the optimum the enumeration ends on the
+   first optimal leaf of the first optimal width partition — exactly
+   {!canonical_architecture}'s answer, so a complete DP needs no
+   re-derivation. Completing the enumeration un-cancelled proves nothing
+   beats the final incumbent, wherever it came from. *)
 let run_dp ctx =
   let r =
     Exact.solve ~should_stop:(should_stop ctx)
       ~upper_bound:(fun () ->
-        Option.map (fun inc -> inc.best_time) (Atomic.get ctx.cell))
+        Option.map (fun inc -> inc.best_time + 1) (Atomic.get ctx.cell))
       ~report:(fun (architecture, test_time) ->
         publish ctx Dp architecture test_time)
       ctx.problem
   in
   Mutex.lock ctx.stats_mutex;
   ctx.dp_nodes <- ctx.dp_nodes + r.Exact.stats.Exact.nodes;
+  if r.Exact.complete then ctx.dp_solution <- r.Exact.solution;
   Mutex.unlock ctx.stats_mutex;
   if r.Exact.complete then certify ctx Dp "dp"
 
@@ -215,8 +241,8 @@ let run_engine ctx ~anneal_iterations e =
 (* Re-derive a canonical architecture for the certified optimum: one
    deterministic DP pass bounded just above [t_star]. This is what
    makes the race's answer a pure function of the instance — identical
-   across job counts and across which engine won the wall clock. The
-   pass is cheap: the bound prunes all but near-optimal assignments. *)
+   across job counts and across which engine won the wall clock. Only
+   races whose DP did not complete need it. *)
 let canonical_architecture problem t_star =
   Obs.span "race.finalize" @@ fun () ->
   (Exact.solve ~upper_bound:(fun () -> Some (t_star + 1)) problem)
@@ -227,6 +253,7 @@ let solve ?pool ?deadline_s ?(engines = default_engines)
   let sp = Obs.start () in
   let ctx =
     { problem;
+      engines;
       start = Clock.now_s ();
       deadline_s;
       cell = Atomic.make None;
@@ -238,7 +265,10 @@ let solve ?pool ?deadline_s ?(engines = default_engines)
       on_event;
       stats_mutex = Mutex.create ();
       dp_nodes = 0;
-      ilp_stats = None }
+      dp_solution = None;
+      ilp_stats = None;
+      greedy_mutex = Mutex.create ();
+      greedy = None }
   in
   let run e = run_engine ctx ~anneal_iterations e in
   (match pool with
@@ -263,13 +293,16 @@ let solve ?pool ?deadline_s ?(engines = default_engines)
                infeasible. *)
             (None, true, Some (engine_name engine), Some cert)
         | Some inc -> (
-            match canonical_architecture problem inc.best_time with
-            | Some (arch, t) ->
-                (Some (arch, t), true, Some (engine_name engine), Some cert)
-            | None ->
-                (* The cell only holds feasible architectures, so the
-                   bounded re-derivation cannot come up empty. *)
-                assert false))
+            match ctx.dp_solution with
+            | Some _ as dp -> (dp, true, Some (engine_name engine), Some cert)
+            | None -> (
+                match canonical_architecture problem inc.best_time with
+                | Some (arch, t) ->
+                    (Some (arch, t), true, Some (engine_name engine), Some cert)
+                | None ->
+                    (* The cell only holds feasible architectures, so the
+                       bounded re-derivation cannot come up empty. *)
+                    assert false)))
     | None -> (
         (* Deadline expired before any certificate: hand back the best
            incumbent as-is, honestly uncertified. *)

@@ -22,10 +22,17 @@
       un-cancelled (DP over all width partitions, or branch-and-bound
       exhausting its tree), or by the incumbent meeting the area lower
       bound;
-    - a certified race {e re-derives} the winning architecture with a
-      deterministic bounded DP pass, so the reported solution is a pure
-      function of the instance — identical across [--jobs 1/2/4] and
-      across which engine happened to win the wall-clock race. *)
+    - the reported solution is a pure function of the instance —
+      identical across [--jobs 1/2/4] and across which engine happened
+      to win the wall-clock race. The DP prunes against the incumbent
+      plus one, so a complete DP ends on the first optimal leaf of the
+      first optimal width partition: already the canonical answer,
+      returned as is. Only ILP- or bound-certified races, whose DP did
+      not complete, {e re-derive} the architecture with a deterministic
+      bounded DP pass ([race.finalize]).
+
+    Greedy and Anneal share one greedy-heuristic run per race, computed
+    by whichever of the two asks first; the annealer refines it. *)
 
 type engine =
   | Pack

@@ -4,6 +4,7 @@ module Exact = Soctam_core.Exact
 module Cost = Soctam_core.Cost
 module Heuristics = Soctam_core.Heuristics
 module Benchmarks = Soctam_soc.Benchmarks
+module Obs = Soctam_obs.Obs
 
 let s1 = Benchmarks.s1 ()
 
@@ -46,6 +47,37 @@ let test_no_worse_than_greedy_start () =
         (annealed.Annealing.test_time <= greedy.Heuristics.test_time)
   | _ -> Alcotest.fail "both should succeed"
 
+(* Already stopped on entry: no greedy start is even attempted. *)
+let test_stopped_before_greedy () =
+  let problem = Problem.make s1 ~num_buses:2 ~total_width:16 in
+  Obs.enable ();
+  let r = Annealing.solve ~should_stop:(fun () -> true) problem in
+  Obs.disable ();
+  let events, _ = Obs.drain () in
+  Alcotest.(check bool) "no outcome" true (r = None);
+  Alcotest.(check int) "no heuristic.solve span" 0
+    (List.length
+       (List.filter
+          (fun (e : Obs.event) -> e.Obs.name = "heuristic.solve")
+          events))
+
+(* [~start] with the greedy architecture replaces the annealer's own
+   greedy run and changes nothing else. *)
+let prop_start_is_the_greedy_run =
+  QCheck.Test.make ~name:"annealing from ~start equals the default"
+    ~count:40 Gen.spec_arbitrary (fun spec ->
+      let problem = Gen.problem_of_spec spec in
+      match Heuristics.solve problem with
+      | None -> Annealing.solve ~iterations:2_000 problem = None
+      | Some { Heuristics.architecture = start; _ } ->
+          let a = Annealing.solve ~iterations:2_000 problem
+          and b = Annealing.solve ~start ~iterations:2_000 problem in
+          (match (a, b) with
+          | Some a, Some b ->
+              a.Annealing.test_time = b.Annealing.test_time
+              && a.Annealing.architecture = b.Annealing.architecture
+          | _ -> false))
+
 let prop_bounded_by_optimum =
   QCheck.Test.make ~name:"annealing is feasible and bounded by the optimum"
     ~count:30 Gen.spec_arbitrary (fun spec ->
@@ -72,4 +104,7 @@ let suite =
       test_respects_constraints;
     Alcotest.test_case "no worse than greedy start" `Quick
       test_no_worse_than_greedy_start;
+    Alcotest.test_case "stopped before the greedy start" `Quick
+      test_stopped_before_greedy;
+    QCheck_alcotest.to_alcotest prop_start_is_the_greedy_run;
     QCheck_alcotest.to_alcotest prop_bounded_by_optimum ]

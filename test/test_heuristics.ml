@@ -2,6 +2,8 @@ module Problem = Soctam_core.Problem
 module Heuristics = Soctam_core.Heuristics
 module Exact = Soctam_core.Exact
 module Cost = Soctam_core.Cost
+module Architecture = Soctam_core.Architecture
+module Clustering = Soctam_core.Clustering
 module Benchmarks = Soctam_soc.Benchmarks
 
 let s1 = Benchmarks.s1 ()
@@ -80,6 +82,127 @@ let prop_heuristic_often_optimal_unconstrained =
           float_of_int h.Heuristics.test_time <= 1.3 *. float_of_int opt
       | _, _ -> false)
 
+(* Reference local search: the full re-evaluation {!Heuristics.improve}
+   replaced. Every pass rebuilds the clustering, and every candidate is
+   a fresh architecture checked by {!Cost.evaluate}. The incremental
+   search must follow the same trajectory. *)
+let reference_improve problem (start : Heuristics.outcome) =
+  let improve_once (current : Heuristics.outcome) =
+    match Clustering.build problem with
+    | Error _ -> (current, false)
+    | Ok clustering ->
+        let arch = current.Heuristics.architecture in
+        let nb = Architecture.num_buses arch in
+        let widths = Array.copy arch.Architecture.widths in
+        let m = Clustering.num_clusters clustering in
+        let cluster_bus =
+          Array.init m (fun c ->
+              match clustering.Clustering.members.(c) with
+              | core :: _ -> arch.Architecture.assignment.(core)
+              | [] -> 0)
+        in
+        let rebuild () =
+          Architecture.make ~widths
+            ~assignment:(Clustering.expand clustering cluster_bus)
+        in
+        let best = ref current.Heuristics.test_time in
+        let improved = ref false in
+        let try_current () =
+          let e = Cost.evaluate problem (rebuild ()) in
+          if e.Cost.feasible && e.Cost.test_time < !best then begin
+            best := e.Cost.test_time;
+            improved := true;
+            true
+          end
+          else false
+        in
+        for c = 0 to m - 1 do
+          let original = cluster_bus.(c) in
+          for b = 0 to nb - 1 do
+            if b <> original && not !improved then begin
+              cluster_bus.(c) <- b;
+              if not (try_current ()) then cluster_bus.(c) <- original
+            end
+          done
+        done;
+        if not !improved then
+          for c1 = 0 to m - 1 do
+            for c2 = c1 + 1 to m - 1 do
+              if (not !improved) && cluster_bus.(c1) <> cluster_bus.(c2)
+              then begin
+                let b1 = cluster_bus.(c1) and b2 = cluster_bus.(c2) in
+                cluster_bus.(c1) <- b2;
+                cluster_bus.(c2) <- b1;
+                if not (try_current ()) then begin
+                  cluster_bus.(c1) <- b1;
+                  cluster_bus.(c2) <- b2
+                end
+              end
+            done
+          done;
+        if not !improved then
+          for src = 0 to nb - 1 do
+            for dst = 0 to nb - 1 do
+              if (not !improved) && src <> dst && widths.(src) > 1 then begin
+                widths.(src) <- widths.(src) - 1;
+                widths.(dst) <- widths.(dst) + 1;
+                if not (try_current ()) then begin
+                  widths.(src) <- widths.(src) + 1;
+                  widths.(dst) <- widths.(dst) - 1
+                end
+              end
+            done
+          done;
+        if !improved then
+          ({ Heuristics.architecture = rebuild (); test_time = !best }, true)
+        else (current, false)
+  in
+  let rec loop current =
+    let next, changed = improve_once current in
+    if changed then loop next else current
+  in
+  loop start
+
+(* A random width vector: [total] split into [parts] positive parts. *)
+let random_widths state ~total ~parts =
+  let widths = Array.make parts 1 in
+  for _ = 1 to total - parts do
+    let b = Random.State.int state parts in
+    widths.(b) <- widths.(b) + 1
+  done;
+  widths
+
+let prop_improve_matches_reference =
+  QCheck.Test.make
+    ~name:"incremental improve equals full re-evaluation" ~count:200
+    (QCheck.pair Gen.spec_arbitrary (QCheck.int_bound 1_000_000))
+    (fun (spec, width_seed) ->
+      (* The spec's own instance, and a wider one from the same seed so
+         that swaps and transfers have room to matter. *)
+      let wide =
+        Gen.spec_of_seed ~min_cores:8 ~max_cores:16 ~seed:spec.Gen.seed ()
+      in
+      let state = Random.State.make [| width_seed |] in
+      List.for_all
+        (fun problem ->
+          let widths =
+            random_widths state ~total:(Problem.total_width problem)
+              ~parts:(Problem.num_buses problem)
+          in
+          match Heuristics.greedy problem ~widths with
+          | None -> true
+          | Some start ->
+              let got = Heuristics.improve problem start
+              and want = reference_improve problem start in
+              got.Heuristics.test_time = want.Heuristics.test_time
+              && got.Heuristics.architecture.Architecture.widths
+                 = want.Heuristics.architecture.Architecture.widths
+              && got.Heuristics.architecture.Architecture.assignment
+                 = want.Heuristics.architecture.Architecture.assignment)
+        [ Gen.problem_of_spec spec;
+          Gen.problem_of_spec ~constrained:false spec;
+          Gen.problem_of_spec wide ])
+
 let suite =
   [ Alcotest.test_case "greedy feasible" `Quick test_greedy_feasible;
     Alcotest.test_case "greedy respects exclusions" `Quick
@@ -88,4 +211,5 @@ let suite =
       test_improve_never_worsens;
     Alcotest.test_case "solve deterministic" `Quick test_solve_deterministic;
     QCheck_alcotest.to_alcotest prop_heuristic_bounded_by_optimum;
-    QCheck_alcotest.to_alcotest prop_heuristic_often_optimal_unconstrained ]
+    QCheck_alcotest.to_alcotest prop_heuristic_often_optimal_unconstrained;
+    QCheck_alcotest.to_alcotest prop_improve_matches_reference ]

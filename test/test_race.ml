@@ -5,6 +5,7 @@ module Benchmarks = Soctam_soc.Benchmarks
 module Pool = Soctam_engine.Pool
 module Race = Soctam_engine.Race
 module Clock = Soctam_obs.Clock
+module Obs = Soctam_obs.Obs
 module Cgen = Soctam_check.Gen
 
 (* The E8-style constrained workload: conflicts force real search, so
@@ -109,14 +110,58 @@ let test_race_expired_deadline () =
   Alcotest.(check bool) "no solution (nothing ran)" true
     (r.Race.solution = None)
 
+let count_spans events name =
+  List.length (List.filter (fun (e : Obs.event) -> e.Obs.name = name) events)
+
+(* Race [problem] at [jobs] with tracing on; the result and its spans. *)
+let traced_race ?engines problem jobs =
+  Obs.enable ();
+  let r =
+    if jobs = 1 then Race.solve ?engines problem
+    else
+      Pool.with_pool ~num_domains:jobs (fun pool ->
+          Race.solve ?engines ~pool problem)
+  in
+  Obs.disable ();
+  (r, fst (Obs.drain ()))
+
+let same_architecture (exact : Exact.result) (r : Race.result) =
+  match (exact.Exact.solution, r.Race.solution) with
+  | Some (a, t), Some (a', t') ->
+      t = t'
+      && a.Architecture.widths = a'.Architecture.widths
+      && a.Architecture.assignment = a'.Architecture.assignment
+  | None, None -> true
+  | _ -> false
+
+(* The race certifies the optimum, and its architecture is the
+   unbounded exact answer, whichever engine certifies. A DP certificate
+   is already that answer, so such a race never re-derives it, and
+   Greedy and Anneal share one heuristic run. Without the DP the
+   certified optimum is re-derived. *)
 let prop_race_matches_exact =
   QCheck.Test.make ~name:"race certifies the exact optimum" ~count:25
     Gen.spec_arbitrary (fun spec ->
       let problem = Cgen.problem_of_spec spec in
-      let exact = Option.map snd (Exact.solve problem).Exact.solution in
-      let r = Race.solve problem in
-      r.Race.optimal
-      && Option.map snd r.Race.solution = exact)
+      let exact = Exact.solve problem in
+      List.for_all
+        (fun jobs ->
+          let r, events = traced_race problem jobs in
+          let dp_ok =
+            r.Race.certificate <> Some "dp"
+            || count_spans events "race.finalize" = 0
+               && count_spans events "heuristic.solve" = 1
+          in
+          let r', events' =
+            traced_race ~engines:[ Race.Pack; Race.Greedy; Race.Ilp ] problem
+              jobs
+          in
+          let finalized =
+            r'.Race.solution = None || count_spans events' "race.finalize" = 1
+          in
+          r.Race.optimal && same_architecture exact r && dp_ok
+          && r'.Race.optimal && same_architecture exact r' && finalized)
+        [ 1; 2 ])
 
 let suite =
   [ Alcotest.test_case "certifies the exact optimum" `Quick
