@@ -229,7 +229,10 @@ let gantt_arg =
   Arg.(value & flag & info [ "gantt" ] ~doc)
 
 let time_limit_arg =
-  let doc = "ILP time limit in seconds." in
+  let doc =
+    "Time limit in seconds: the ILP's search budget, and the deadline of \
+     a $(b,race) or $(b,pack) solve."
+  in
   Arg.(value & opt float 60.0 & info [ "time-limit" ] ~docv:"S" ~doc)
 
 let trace_arg =
@@ -310,10 +313,10 @@ let solve_cmd =
       let problem =
         build_problem soc ~num_buses ~total_width ~model ~d_max ~p_max
       in
+      let kind = solver_kind_of_string solver in
       let solver =
         Sweep.solver ~ilp_time_limit_s:time_limit ~presolve:(not no_presolve)
-          ~cuts:(not no_cuts) ~seed:(not no_seed) ?p_max_mw:p_max
-          (solver_kind_of_string solver)
+          ~cuts:(not no_cuts) ~seed:(not no_seed) ?p_max_mw:p_max kind
       in
       let cell =
         match
@@ -327,15 +330,14 @@ let solve_cmd =
       in
       with_observability ~trace ~profile @@ fun () ->
       let row =
-        match solver with
-        | Sweep.Race | Sweep.Pack _ ->
-            let deadline_s = Clock.now_s () +. time_limit in
-            let jobs = resolve_jobs jobs in
-            if jobs > 1 then
-              Pool.with_pool ~num_domains:jobs (fun pool ->
-                  Sweep.solve_one ~race_pool:pool ~deadline_s cell)
-            else Sweep.solve_one ~deadline_s cell
-        | _ -> Sweep.solve_one cell
+        if Sweep.races kind then
+          let deadline_s = Clock.now_s () +. time_limit in
+          let jobs = resolve_jobs jobs in
+          if jobs > 1 then
+            Pool.with_pool ~num_domains:jobs (fun pool ->
+                Sweep.solve_one ~race_pool:pool ~deadline_s cell)
+          else Sweep.solve_one ~deadline_s cell
+        else Sweep.solve_one cell
       in
       (match solver with
       | Sweep.Ilp _ ->

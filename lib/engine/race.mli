@@ -3,36 +3,47 @@
     The paper's tension — exact-but-slow MILP against fast-but-loose
     heuristics — becomes a cooperation protocol: every engine in the
     portfolio runs against one shared atomic incumbent cell. Fast
-    engines (rectangle-packing bound, greedy, annealing) publish
-    feasible architectures within milliseconds; the exact engines (the
-    partition-enumerating DP and the MILP branch-and-bound) read the
-    cell to prune, publish their own improvements, and — being
-    complete — certify the final value. The first certificate
+    engines publish feasible answers within milliseconds; the complete
+    engines read the cell to prune, publish their own improvements, and
+    — being complete — certify the final value. The first certificate
     cooperatively cancels every losing engine: a shared stop flag is
     polled per annealing iteration, per DP partition, per
     branch-and-bound node and per simplex pivot, and a
     {!Pool.Cancel.token} keeps stale queued engine tasks from ever
     starting.
 
+    There is one protocol and two engine families, each racing over its
+    own cell:
+    - {!solve}, the partition family: rectangle-packing bound, greedy,
+      annealing, the partition-enumerating DP and the MILP, over
+      architectures;
+    - {!solve_pack}, the packing family: the greedy skyline portfolio
+      and the exact packer, over packings.
+
     Soundness invariants:
-    - the cell only ever holds {e feasible} architectures, and its test
-      time only decreases — so pruning against it never cuts the true
+    - the cell only ever holds {e feasible} answers, and its test time
+      only decreases — so pruning against it never cuts the true
       optimum;
     - a certificate is only issued by a complete engine finishing
-      un-cancelled (DP over all width partitions, or branch-and-bound
-      exhausting its tree), or by the incumbent meeting the area lower
-      bound;
-    - the reported solution is a pure function of the instance —
+      un-cancelled (DP over all width partitions, branch-and-bound or
+      the exact packer exhausting its tree), or by the incumbent
+      meeting the race's lower bound;
+    - the reported answer is a pure function of the instance —
       identical across [--jobs 1/2/4] and across which engine happened
-      to win the wall-clock race. The DP prunes against the incumbent
-      plus one, so a complete DP ends on the first optimal leaf of the
-      first optimal width partition: already the canonical answer,
-      returned as is. Only ILP- or bound-certified races, whose DP did
-      not complete, {e re-derive} the architecture with a deterministic
-      bounded DP pass ([race.finalize]).
+      to win the wall-clock race. A certified incumbent is re-derived
+      by a deterministic bounded search ([race.finalize]); an
+      uncertified one (deadline) is returned as is. In the partition
+      family the DP prunes against the incumbent plus one, so a
+      complete DP ends on the first optimal leaf of the first optimal
+      width partition: already the canonical answer, returned as is
+      without re-derivation.
 
     Greedy and Anneal share one greedy-heuristic run per race, computed
-    by whichever of the two asks first; the annealer refines it. *)
+    by whichever of the two asks first; the annealer refines it.
+
+    Every engine that runs does so inside a [race.engine] span carrying
+    its name; the whole race is a [race.solve] or [race.solve_pack]
+    span. *)
 
 type engine =
   | Pack
@@ -113,7 +124,7 @@ val solve :
   Soctam_core.Problem.t ->
   result
 
-(** Outcome of the rectangle-packing race. Mirrors {!result} with a
+(** Outcome of the packing family's race. Mirrors {!result} with a
     packing in place of an architecture. *)
 type pack_result = {
   packing : Soctam_sched.Rect_sched.t option;
@@ -126,18 +137,19 @@ type pack_result = {
   nodes : int;  (** Exact-packer branch-and-bound nodes. *)
   lower_bound : int;
       (** The strengthened area/co-pair/energy bound the race pruned
-          against ({!Soctam_pack.Pack.lower_bound}). *)
+          against ({!Soctam_pack.Pack.lower_bound}), seeded when the
+          race starts — so reported even if no engine ran. *)
   elapsed_s : float;
 }
 
-(** [solve_pack problem] races the rectangle-packing family — the
-    greedy portfolio streaming improving packings into a shared cell,
-    and the exact branch-and-bound pruning against that cell and
-    certifying on exhaustion — with the same protocol as {!solve}:
-    strict-improvement publication, bound-match certificates,
-    first-certificate-wins cancellation, and a deterministic bounded
-    re-derivation of the certified packing so the answer is a pure
-    function of the instance across job counts.
+(** [solve_pack problem] runs the race protocol of {!solve} with the
+    packing family's engines: ["pack-greedy"], the greedy portfolio
+    streaming improving packings into the race's cell, and
+    ["pack-exact"], the exact branch-and-bound pruning against that
+    cell and certifying on exhaustion. [pool] and [deadline_s] are as
+    for {!solve}; a certified packing is re-derived by a sequential
+    bounded exact search, so placements are identical across job
+    counts.
 
     @param p_max_mw instantaneous power envelope; enforced as
       [Soctam_pack.Pack.effective_budget].

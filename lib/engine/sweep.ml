@@ -22,6 +22,8 @@ let kind_name = function
   | Race -> "race"
   | Pack -> "pack"
 
+let races = function Race | Pack -> true | Exact | Ilp | Heuristic -> false
+
 let kind_of_name name =
   match List.find_opt (fun k -> kind_name k = name) kinds with
   | Some k -> Ok k

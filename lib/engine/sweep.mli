@@ -25,6 +25,11 @@ val kinds : kind list
 (** ["exact"], ["ilp"], ["heuristic"], ["race"], ["pack"]. *)
 val kind_name : kind -> string
 
+(** [true] for the families that race a portfolio under a deadline
+    ([Race] and [Pack]): only their cells take [deadline_s], a
+    [race_pool] and an [on_event] stream in {!solve_one}. *)
+val races : kind -> bool
+
 (** Inverse of {!kind_name}; the error reason lists the table's names. *)
 val kind_of_name : string -> (kind, string) result
 
@@ -126,12 +131,13 @@ val cells :
     its time model, and covers its width, it is reused; otherwise a
     fresh memo is built. [deadline_s] is an absolute
     {!Soctam_obs.Clock.now_s} instant forwarded to the ILP time-limit
-    path (see {!Soctam_core.Ilp_formulation.solve}) and to [Race]
-    cells; [Exact] and [Heuristic] cells are fast on served instance
-    sizes and run to completion. [race_pool] lets a [Race] cell run its
-    engines concurrently ([tamopt solve --solver race --jobs N]); it
-    must not be a pool this call is itself a task of. [on_event]
-    streams a [Race] cell's improving incumbents.
+    path (see {!Soctam_core.Ilp_formulation.solve}) and to the racing
+    cells ({!races}: [Race] and [Pack]); [Exact] and [Heuristic] cells
+    are fast on served instance sizes and run to completion.
+    [race_pool] lets a racing cell run its engines concurrently
+    ([tamopt solve --solver race|pack --jobs N]); it must not be a pool
+    this call is itself a task of. [on_event] streams a racing cell's
+    improving incumbents.
     This is the daemon's per-request entry point. *)
 val solve_one :
   ?deadline_s:float ->

@@ -296,10 +296,7 @@ let work t ~id ~trace_id ~note ~arrival ~(instance : Protocol.instance)
      cannot race the final reply. *)
   let on_event =
     match emit with
-    | Some emit
-      when stream
-           && (instance.Protocol.solver = Protocol.Race
-              || instance.Protocol.solver = Protocol.Pack) ->
+    | Some emit when stream && Sweep.races instance.Protocol.solver ->
         Some
           (fun (ev : Race.event) ->
             Obs.incr "svc.incumbent_event";

@@ -176,6 +176,17 @@ let test_solve_pack_respects_envelope () =
       | Ok () -> ()
       | Error msg -> Alcotest.failf "raced packing rejected: %s" msg)
 
+(* The race's bound starts at the packing lower bound, so it is reported
+   even when the deadline expires before any engine runs. *)
+let test_solve_pack_expired_lower_bound () =
+  let problem = Problem.make s1 ~num_buses:2 ~total_width:16 in
+  let r =
+    Race.solve_pack ~deadline_s:(Soctam_obs.Clock.now_s () -. 1.0) problem
+  in
+  Alcotest.(check bool) "no engine ran" true (r.Race.packing = None);
+  Alcotest.(check int) "lower bound reported" (Pack.lower_bound problem)
+    r.Race.lower_bound
+
 let suite =
   [ Alcotest.test_case "candidates staircase" `Quick
       test_candidates_staircase;
@@ -189,6 +200,8 @@ let suite =
       test_solve_pack_jobs_deterministic;
     Alcotest.test_case "solve_pack respects envelope" `Quick
       test_solve_pack_respects_envelope;
+    Alcotest.test_case "solve_pack reports its bound on expiry" `Quick
+      test_solve_pack_expired_lower_bound;
     QCheck_alcotest.to_alcotest prop_packings_validate;
     QCheck_alcotest.to_alcotest prop_exact_sandwich;
     QCheck_alcotest.to_alcotest prop_greedy_within_twice_lb;

@@ -2,6 +2,7 @@ module Problem = Soctam_core.Problem
 module Architecture = Soctam_core.Architecture
 module Exact = Soctam_core.Exact
 module Benchmarks = Soctam_soc.Benchmarks
+module Rect_sched = Soctam_sched.Rect_sched
 module Pool = Soctam_engine.Pool
 module Race = Soctam_engine.Race
 module Clock = Soctam_obs.Clock
@@ -64,29 +65,65 @@ let test_race_deterministic_across_jobs () =
           Alcotest.failf "jobs=%d feasibility differs from jobs=1" jobs)
     [ 2; 4 ]
 
+(* The protocol's view of a race, whichever engine family ran it: the
+   answer's test time and the verdict. *)
+type verdict = {
+  time : int option;
+  optimal : bool;
+  certificate : string option;
+  incumbents : int;
+}
+
+(* Both families share one race protocol, so every protocol case runs
+   against each: the partition race on the constrained workload, and
+   the packing race on a small SOC (its exact search grows far faster). *)
+let families =
+  [ ( "partition",
+      fun ~deadline_s ~on_event ->
+        let r = Race.solve ?deadline_s ~on_event (constrained_problem ()) in
+        { time = Option.map snd r.Race.solution;
+          optimal = r.Race.optimal;
+          certificate = r.Race.certificate;
+          incumbents = r.Race.incumbents } );
+    ( "pack",
+      fun ~deadline_s ~on_event ->
+        let soc = Benchmarks.random ~seed:5 ~num_cores:4 () in
+        let problem = Problem.make soc ~num_buses:2 ~total_width:6 in
+        let r = Race.solve_pack ?deadline_s ~on_event problem in
+        { time = Option.map (fun p -> p.Rect_sched.makespan) r.Race.packing;
+          optimal = r.Race.optimal;
+          certificate = r.Race.certificate;
+          incumbents = r.Race.incumbents } ) ]
+
 (* Streamed incumbents are strictly improving, and the final solution
    is exactly the last streamed value — the certificate never reports
    something the stream did not announce. *)
 let test_race_stream_monotone () =
-  let problem = constrained_problem () in
-  let events = ref [] in
-  let r = Race.solve ~on_event:(fun ev -> events := ev :: !events) problem in
-  let events = List.rev !events in
-  Alcotest.(check bool) "at least one incumbent streamed" true
-    (events <> []);
-  Alcotest.(check int) "incumbents counted" (List.length events)
-    r.Race.incumbents;
-  let rec strictly_decreasing = function
-    | a :: (b :: _ as rest) ->
-        a.Race.test_time > b.Race.test_time && strictly_decreasing rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "strictly improving" true
-    (strictly_decreasing events);
-  match (r.Race.solution, List.rev events) with
-  | Some (_, t), last :: _ ->
-      Alcotest.(check int) "final = last streamed" last.Race.test_time t
-  | _ -> Alcotest.fail "expected a feasible certified solution"
+  List.iter
+    (fun (family, race) ->
+      let label msg = Printf.sprintf "%s: %s" family msg in
+      let events = ref [] in
+      let r =
+        race ~deadline_s:None ~on_event:(fun ev -> events := ev :: !events)
+      in
+      let events = List.rev !events in
+      Alcotest.(check bool) (label "at least one incumbent streamed") true
+        (events <> []);
+      Alcotest.(check int) (label "incumbents counted") (List.length events)
+        r.incumbents;
+      let rec strictly_decreasing = function
+        | a :: (b :: _ as rest) ->
+            a.Race.test_time > b.Race.test_time && strictly_decreasing rest
+        | _ -> true
+      in
+      Alcotest.(check bool) (label "strictly improving") true
+        (strictly_decreasing events);
+      match (r.time, List.rev events) with
+      | Some t, last :: _ ->
+          Alcotest.(check int) (label "final = last streamed")
+            last.Race.test_time t
+      | _ -> Alcotest.failf "%s: expected a feasible answer" family)
+    families
 
 (* Without a complete engine no certificate can exist, but the best
    heuristic incumbent is still returned — the anytime contract. *)
@@ -103,12 +140,18 @@ let test_race_incomplete_portfolio () =
       (Some "bound") r.Race.certificate
 
 let test_race_expired_deadline () =
-  let problem = constrained_problem () in
-  let r = Race.solve ~deadline_s:(Clock.now_s () -. 1.0) problem in
-  Alcotest.(check bool) "not optimal" false r.Race.optimal;
-  Alcotest.(check (option string)) "no certificate" None r.Race.certificate;
-  Alcotest.(check bool) "no solution (nothing ran)" true
-    (r.Race.solution = None)
+  List.iter
+    (fun (family, race) ->
+      let label msg = Printf.sprintf "%s: %s" family msg in
+      let r =
+        race ~deadline_s:(Some (Clock.now_s () -. 1.0)) ~on_event:ignore
+      in
+      Alcotest.(check bool) (label "not optimal") false r.optimal;
+      Alcotest.(check (option string)) (label "no certificate") None
+        r.certificate;
+      Alcotest.(check bool) (label "no answer (nothing ran)") true
+        (r.time = None))
+    families
 
 let count_spans events name =
   List.length (List.filter (fun (e : Obs.event) -> e.Obs.name = name) events)
